@@ -35,6 +35,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"sort"
 	"strings"
 	"sync"
 
@@ -382,7 +383,14 @@ func emitCDF(w io.Writer, name, title string, series []exp.CDFSeries) {
 
 func printTimelines(w io.Writer, title string, m map[string][]exp.TimelineSeries) {
 	fmt.Fprintln(w, "# "+title)
-	for name, series := range m {
+	// Sorted, so a fixed seed prints the same bytes every run.
+	names := make([]string, 0, len(m))
+	for name := range m {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	for _, name := range names {
+		series := m[name]
 		fmt.Fprintf(w, "## %s\n", name)
 		for _, s := range series {
 			fmt.Fprintf(w, "%-12s", s.Name)

@@ -171,8 +171,7 @@ type Player struct {
 	pending   bool // a chunk request is in flight
 	met       Metrics
 	full      bool
-	fullTimer *sim.Timer
-	dryTimer  *sim.Timer
+	dryTimer  sim.Timer
 }
 
 // NewPlayer assembles a player. Call Start to begin streaming.
@@ -300,7 +299,7 @@ func (p *Player) waitForSpace() {
 	if wait < 0.01 {
 		wait = 0.01
 	}
-	p.fullTimer = p.Sim.After(wait, func() {
+	p.Sim.After(wait, func() {
 		p.full = false
 		p.requestNext()
 	})
@@ -326,15 +325,11 @@ func (p *Player) onChunkDone(now float64) {
 // run dry, so stalls (and the §4.4 emergency rule) take effect exactly
 // when they happen rather than at the next chunk arrival.
 func (p *Player) armDryTimer() {
-	if p.dryTimer != nil {
-		p.dryTimer.Stop()
-		p.dryTimer = nil
-	}
+	p.dryTimer.Stop()
 	if !p.playing || p.Done() {
 		return
 	}
 	p.dryTimer = p.Sim.After(p.buffer+1e-9, func() {
-		p.dryTimer = nil
 		p.advance(p.Sim.Now())
 	})
 }

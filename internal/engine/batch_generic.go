@@ -41,10 +41,15 @@ func (sh *shard) readBatch(deadline time.Time) int {
 // fail to send are dropped, exactly as a full socket buffer drops
 // them on the batched path. Send errors still feed the overload
 // detector's streak signal so buffer exhaustion is visible here too.
-func (sh *shard) writeBatch(pkts [][]byte, addrs []netip.AddrPort) {
-	errs := 0
+// It returns the number of datagrams handed to the kernel.
+func (sh *shard) writeBatch(pkts [][]byte, addrs []netip.AddrPort) int {
+	errs, sent := 0, 0
 	for i, p := range pkts {
-		if _, err := sh.conn.WriteToUDPAddrPort(p, addrs[i]); err != nil && !isClosed(err) {
+		_, err := sh.conn.WriteToUDPAddrPort(p, addrs[i])
+		switch {
+		case err == nil:
+			sent++
+		case !isClosed(err):
 			errs++
 		}
 	}
@@ -55,4 +60,5 @@ func (sh *shard) writeBatch(pkts [][]byte, addrs []netip.AddrPort) {
 		sh.txErrStreak = 0
 	}
 	sh.txBacklog = float64(errs) / float64(len(pkts))
+	return sent
 }

@@ -97,12 +97,12 @@ type mmsgState struct {
 
 	// GSO staging: per-entry control messages and segment counts, and
 	// the per-flush destination-grouping table.
-	gso    bool
-	wctrl  []cmsgGSO
-	wsegs  []int
-	gdst   [gsoMaxDsts]netip.AddrPort
-	gidx   [gsoMaxDsts][]int
-	gflat  []int // overflow: packets sent as plain entries
+	gso   bool
+	wctrl []cmsgGSO
+	wsegs []int
+	gdst  [gsoMaxDsts]netip.AddrPort
+	gidx  [gsoMaxDsts][]int
+	gflat []int // overflow: packets sent as plain entries
 
 	readFn  func(fd uintptr) bool
 	writeFn func(fd uintptr) bool
@@ -112,8 +112,8 @@ type mmsgState struct {
 	wOff  int
 	wTot  int
 	wErr  syscall.Errno
-	wSkip int64 // datagrams dropped on per-message send errors
-	wSoft bool  // last flush attempt hit ENOBUFS/ENOMEM (retryable)
+	wSkip int  // datagrams of this flush dropped on per-message send errors
+	wSoft bool // last flush attempt hit ENOBUFS/ENOMEM (retryable)
 }
 
 func (sh *shard) initBatch() {
@@ -215,7 +215,7 @@ func (sh *shard) initBatch() {
 			// failed; skip it so the batch cannot spin, and let the
 			// remainder go out on the next pass.
 			m.wErr = errno
-			m.wSkip += int64(m.wsegs[m.wOff])
+			m.wSkip += m.wsegs[m.wOff]
 			m.wOff++
 			return true
 		}
@@ -271,11 +271,12 @@ func (sh *shard) readBatch(deadline time.Time) int {
 // writeBatch sends every staged packet with as few sendmmsg calls as
 // partial sends allow, coalescing same-destination runs into UDP GSO
 // segmented sends when the kernel supports them. Undeliverable
-// datagrams are dropped — UDP semantics, same as the fallback path.
-func (sh *shard) writeBatch(pkts [][]byte, addrs []netip.AddrPort) {
+// datagrams are dropped — UDP semantics, same as the fallback path. It
+// returns the number of datagrams handed to the kernel.
+func (sh *shard) writeBatch(pkts [][]byte, addrs []netip.AddrPort) int {
 	m := &sh.mmsg
 	if m.rc == nil {
-		return
+		return 0
 	}
 	if m.gso {
 		m.wTot = sh.buildGSO(pkts, addrs)
@@ -290,7 +291,7 @@ func (sh *shard) writeBatch(pkts [][]byte, addrs []netip.AddrPort) {
 		}
 		m.wTot = len(pkts)
 	}
-	m.wOff = 0
+	m.wOff, m.wSkip = 0, 0
 	sh.conn.SetWriteDeadline(time.Now().Add(10 * time.Millisecond))
 	// ENOBUFS/ENOMEM adaptive backoff: the socket stays "writable" (no
 	// netpoller park), so spinning would burn the core while starving
@@ -303,14 +304,14 @@ func (sh *shard) writeBatch(pkts [][]byte, addrs []netip.AddrPort) {
 	for m.wOff < m.wTot {
 		m.wSoft = false
 		if err := m.rc.Write(m.writeFn); err != nil {
-			sh.noteTxFlush(pkts, true)
-			return // closed or write-deadline: drop the remainder
+			// Closed or write-deadline: drop the remainder.
+			return len(pkts) - m.wSkip - sh.noteTxFlush(pkts, true)
 		}
 		if m.wSoft {
 			sawSoft = true
 			sh.ctr.txSoftErrs.Add(1)
 			if softTries++; softTries > 6 {
-				m.wSkip += int64(m.wsegs[m.wOff])
+				m.wSkip += m.wsegs[m.wOff]
 				m.wOff++
 				continue
 			}
@@ -320,12 +321,13 @@ func (sh *shard) writeBatch(pkts [][]byte, addrs []netip.AddrPort) {
 			}
 		}
 	}
-	sh.noteTxFlush(pkts, sawSoft)
+	return len(pkts) - m.wSkip - sh.noteTxFlush(pkts, sawSoft)
 }
 
-// noteTxFlush feeds the overload detector's tx signals after a flush:
-// the soft-error streak and the unsent fraction of this batch.
-func (sh *shard) noteTxFlush(pkts [][]byte, soft bool) {
+// noteTxFlush feeds the overload detector's tx signals after a flush —
+// the soft-error streak and the unsent fraction of this batch — and
+// returns the number of datagrams left unsent.
+func (sh *shard) noteTxFlush(pkts [][]byte, soft bool) int {
 	m := &sh.mmsg
 	if soft {
 		sh.txErrStreak++
@@ -337,6 +339,7 @@ func (sh *shard) noteTxFlush(pkts [][]byte, soft bool) {
 		unsent += m.wsegs[i]
 	}
 	sh.txBacklog = float64(unsent) / float64(len(pkts))
+	return unsent
 }
 
 // buildGSO stages the flush as segmented sendmmsg entries: packets

@@ -147,7 +147,8 @@ type Stats struct {
 	RxPkts         int64 // valid datagrams dispatched to flows
 	RxBatches      int64
 	RxDups         int64
-	TxPkts         int64
+	TxPkts         int64 // datagrams handed to the kernel
+	TxDropped      int64 // staged datagrams dropped before reaching the kernel
 	TxBatches      int64
 	BadPkts        int64
 	BadAcks        int64
@@ -163,14 +164,14 @@ type Stats struct {
 	// ShedPrimary stays 0 while any scavenger exists to shed.
 	AdmittedPrimary   int64 // AddFlow successes per class
 	AdmittedScavenger int64
-	RejectedPrimary   int64 // primary AddFlow refusals (hard cap only)
-	RejectedScavenger int64 // scavenger refusals: local AddFlow + remote BUSY
-	ShedPrimary       int64 // primary recv flows evicted at the table cap
-	ShedScavenger     int64 // scavenger flows paused, evicted, or shed
-	BusyTx            int64 // BUSY frames sent (refusals + sheds)
-	BusyRx            int64 // BUSY frames received (we were pushed back)
-	TxSoftErrs        int64 // ENOBUFS/ENOMEM-class tx flush errors
-	Paused            int64 // local scavenger senders currently paused
+	RejectedPrimary   int64          // primary AddFlow refusals (hard cap only)
+	RejectedScavenger int64          // scavenger refusals: local AddFlow + remote BUSY
+	ShedPrimary       int64          // primary recv flows evicted at the table cap
+	ShedScavenger     int64          // scavenger flows paused, evicted, or shed
+	BusyTx            int64          // BUSY frames sent (refusals + sheds)
+	BusyRx            int64          // BUSY frames received (we were pushed back)
+	TxSoftErrs        int64          // ENOBUFS/ENOMEM-class tx flush errors
+	Paused            int64          // local scavenger senders currently paused
 	Overload          overload.State // worst shard's current state
 	WorstOverload     overload.State // worst state any shard ever entered
 	Pressure          float64
@@ -364,6 +365,7 @@ func (e *Engine) Stats() Stats {
 		st.RxBatches += sh.ctr.rxBatches.Load()
 		st.RxDups += sh.ctr.rxDups.Load()
 		st.TxPkts += sh.ctr.txPkts.Load()
+		st.TxDropped += sh.ctr.txDropped.Load()
 		st.TxBatches += sh.ctr.txBatches.Load()
 		st.BadPkts += sh.ctr.bad.Load()
 		st.BadAcks += sh.ctr.badAcks.Load()

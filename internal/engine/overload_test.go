@@ -1,6 +1,8 @@
 package engine
 
 import (
+	"math"
+	"net"
 	"runtime"
 	"sync/atomic"
 	"testing"
@@ -376,19 +378,38 @@ func TestOverloadAckStarve(t *testing.T) {
 }
 
 // TestAddFlowScavengerGate covers the local admission path: a shard in
-// Brownout refuses new scavenger AddFlow but admits primaries.
+// Brownout refuses new scavenger AddFlow but admits primaries, and a
+// shard in Normal admits scavengers with the class bit on the wire ID.
+//
+// The gate reads each shard's state mirror, which the running loop
+// rewrites from its detector on every pass, so the test drives the
+// detectors themselves before Start: shards 0 and 1 enter Brownout.
+// Their tables are empty, so the loop moves them on to Recover — which
+// refuses scavengers too — and with an endless RecoverHold never back
+// to Normal. Shard 2 is left alone. AddFlow picks shards round-robin:
+// the first call lands on shard 0, the second on 1, the third on 2.
 func TestAddFlowScavengerGate(t *testing.T) {
-	eng, err := New(Config{MaxFlowsPerShard: 64})
+	eng, err := New(Config{Shards: 3, MaxFlowsPerShard: 64, Overload: overload.Config{RecoverHold: math.Inf(1)}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer eng.Stop()
+	for _, sh := range eng.shards[:2] {
+		if st := sh.det.Update(0, overload.Signals{FlowOccupancy: 0.9}); st != overload.StateBrownout {
+			t.Fatalf("detector driven to %v, want brownout", st)
+		}
+		sh.ovState.Store(uint32(overload.StateBrownout))
+	}
 	if err := eng.Start(); err != nil {
 		t.Fatal(err)
 	}
-	// Force the single shard's mirror into Brownout.
-	eng.shards[0].ovState.Store(uint32(overload.StateBrownout))
-	dst := eng.Addrs()[0]
+	// The flows send into a mute sink, so no peer table is touched.
+	sink, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sink.Close()
+	dst := sink.LocalAddr().(*net.UDPAddr).AddrPort()
 	if _, err := eng.AddFlow(FlowConfig{
 		Dst: dst, CC: &FixedRateCC{Rate: 1}, Class: overload.ClassScavenger,
 	}); err == nil {
@@ -404,8 +425,8 @@ func TestAddFlowScavengerGate(t *testing.T) {
 	if wire.ScavengerID(fl.ID()) {
 		t.Fatal("primary flow carries the scavenger class bit")
 	}
-	// Back to normal: scavenger admitted, class bit set on the wire ID.
-	eng.shards[0].ovState.Store(uint32(overload.StateNormal))
+	// Shard 2 is in Normal: scavenger admitted, class bit set on the
+	// wire ID.
 	sfl, err := eng.AddFlow(FlowConfig{
 		Dst: dst, CC: &FixedRateCC{Rate: 1}, Class: overload.ClassScavenger,
 	})

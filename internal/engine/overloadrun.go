@@ -68,10 +68,10 @@ func (c OverloadConfig) withDefaults() OverloadConfig {
 
 // OverloadResult summarizes one overload scenario run.
 type OverloadResult struct {
-	PreGoodput   float64 // primary bytes/sec before the first phase
-	LoadGoodput  float64 // primary bytes/sec while phases are active
-	PostGoodput  float64 // primary bytes/sec after recovery
-	RecoverySecs float64 // load end → receiver Normal again; -1 = never
+	PreGoodput   float64        // primary bytes/sec before the first phase
+	LoadGoodput  float64        // primary bytes/sec while phases are active
+	PostGoodput  float64        // primary bytes/sec after recovery
+	RecoverySecs float64        // load end → receiver Normal again; -1 = never
 	WorstState   overload.State // worst receiver state observed under load
 
 	Recv    Stats // receiver engine at teardown
@@ -86,6 +86,7 @@ type OverloadResult struct {
 func mergeStats(dst *Stats, s Stats) {
 	dst.RxPkts += s.RxPkts
 	dst.TxPkts += s.TxPkts
+	dst.TxDropped += s.TxDropped
 	dst.Evicted += s.Evicted
 	dst.Delivered += s.Delivered
 	dst.DeliveredBytes += s.DeliveredBytes

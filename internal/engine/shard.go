@@ -25,7 +25,8 @@ type shardCounters struct {
 	rxPkts         atomic.Int64 // valid datagrams dispatched
 	rxBatches      atomic.Int64 // socket read syscalls that returned data
 	rxDups         atomic.Int64
-	txPkts         atomic.Int64
+	txPkts         atomic.Int64 // datagrams handed to the kernel
+	txDropped      atomic.Int64 // staged datagrams the write path dropped
 	txBatches      atomic.Int64 // socket write flushes
 	bad            atomic.Int64 // datagrams the codecs rejected
 	badAcks        atomic.Int64 // acks with no matching sender flow
@@ -533,14 +534,20 @@ func (sh *shard) queueTx(pkt []byte, dst netip.AddrPort) {
 }
 
 // flushTx writes every staged packet (one sendmmsg on Linux, a write
-// loop on the fallback) and recycles the buffers.
+// loop on the fallback) and recycles the buffers. Datagrams the write
+// path could not hand to the kernel — socket closed by Stop, write
+// deadline already expired, per-message errors — count as TxDropped,
+// not TxPkts.
 func (sh *shard) flushTx() {
 	if len(sh.txq) == 0 {
 		return
 	}
 	if sh.conn != nil {
-		sh.writeBatch(sh.txq, sh.txAddrs)
-		sh.ctr.txPkts.Add(int64(len(sh.txq)))
+		sent := sh.writeBatch(sh.txq, sh.txAddrs)
+		sh.ctr.txPkts.Add(int64(sent))
+		if dropped := len(sh.txq) - sent; dropped > 0 {
+			sh.ctr.txDropped.Add(int64(dropped))
+		}
 		sh.ctr.txBatches.Add(1)
 	}
 	sh.recycleTx()

@@ -124,6 +124,47 @@ type Link struct {
 	lastArrival float64
 	epoch       uint64
 	stats       LinkStats
+
+	// deps holds the packets still serializing, from deps[depHead] on.
+	// Each stands for the event that would take the packet's bytes off
+	// the queue and count them sent at its txEnd. busyUntil only grows,
+	// so departures are FIFO, and drain applies them lazily, in the
+	// simulation's own event order, before anything reads queueBytes or
+	// SentBytes.
+	deps    []departure
+	depHead int
+
+	deliveries []*delivery // free list
+}
+
+// departure is one packet's pending end of serialization.
+type departure struct {
+	key  sim.Key
+	size int
+}
+
+// drain applies every departure the simulation has run past.
+func (l *Link) drain() {
+	for l.depHead < len(l.deps) && l.Sim.Passed(l.deps[l.depHead].key) {
+		d := l.deps[l.depHead]
+		l.queueBytes -= d.size
+		l.stats.SentBytes += int64(d.size)
+		l.depHead++
+	}
+	if l.depHead == len(l.deps) {
+		l.deps, l.depHead = l.deps[:0], 0
+	}
+}
+
+// depart records a packet that finishes serializing at txEnd. It takes
+// the sequence number the departure event would have had, so drain
+// orders it exactly against events scheduled at the same instant.
+func (l *Link) depart(txEnd float64, size int) {
+	if l.depHead > 0 && len(l.deps) == cap(l.deps) {
+		n := copy(l.deps, l.deps[l.depHead:])
+		l.deps, l.depHead = l.deps[:n], 0
+	}
+	l.deps = append(l.deps, departure{key: l.Sim.Virtual(txEnd), size: size})
 }
 
 // NewLink builds a bottleneck with rate in bits/sec converted from Mbps,
@@ -170,7 +211,10 @@ func (l *Link) SetPropDelay(d float64) error {
 }
 
 // Stats returns a copy of the link counters.
-func (l *Link) Stats() LinkStats { return l.stats }
+func (l *Link) Stats() LinkStats {
+	l.drain()
+	return l.stats
+}
 
 // Flush models a peer restart: every packet currently in flight (sent
 // but not yet delivered) is discarded at its would-be delivery time and
@@ -179,7 +223,10 @@ func (l *Link) Stats() LinkStats { return l.stats }
 func (l *Link) Flush() { l.epoch++ }
 
 // QueueBytes returns the current queue occupancy in bytes.
-func (l *Link) QueueBytes() int { return l.queueBytes }
+func (l *Link) QueueBytes() int {
+	l.drain()
+	return l.queueBytes
+}
 
 // QueueDelay returns the delay a packet enqueued now would wait before
 // its own serialization begins.
@@ -203,6 +250,7 @@ func (l *Link) QueueDelay() float64 {
 func (l *Link) Send(pkt *Packet, deliver func(p *Packet, arrival float64)) bool {
 	rec := l.Sim.Trace()
 	now := l.Sim.Now()
+	l.drain()
 	if l.Down {
 		// Blackout: the packet is offered to a dead path and vanishes
 		// before it reaches the queue, exactly as the wire shim drops
@@ -261,10 +309,7 @@ func (l *Link) Send(pkt *Packet, deliver func(p *Packet, arrival float64)) bool 
 		}
 		l.lastArrival = arrival
 	}
-	l.Sim.At(txEnd, func() {
-		l.queueBytes -= pkt.Size
-		l.stats.SentBytes += int64(pkt.Size)
-	})
+	l.depart(txEnd, pkt.Size)
 	if lost {
 		l.stats.LostRandom++
 		if rec.Enabled(trace.KindPacketDrop) {
@@ -272,27 +317,7 @@ func (l *Link) Send(pkt *Packet, deliver func(p *Packet, arrival float64)) bool 
 		}
 		return true
 	}
-	ep := l.epoch
-	l.Sim.At(arrival, func() {
-		if ep != l.epoch {
-			l.stats.Flushed++
-			if rec.Enabled(trace.KindPacketDrop) {
-				rec.Tracer(pkt.FlowID).PacketDrop(l.Sim.Now(), pkt.Seq, pkt.Size, l.queueBytes, "restart")
-			}
-			return
-		}
-		if corrupt {
-			// The bytes traversed the link but arrive damaged; the
-			// receiver's codec rejects them, so delivery never happens.
-			l.stats.Corrupted++
-			if rec.Enabled(trace.KindPacketDrop) {
-				rec.Tracer(pkt.FlowID).PacketDrop(l.Sim.Now(), pkt.Seq, pkt.Size, l.queueBytes, "corrupt")
-			}
-			return
-		}
-		l.stats.Delivered++
-		deliver(pkt, arrival)
-	})
+	l.schedule(pkt, deliver, rec, arrival, corrupt, false)
 	if dup {
 		// A duplicate copy materializes in the network and arrives
 		// alongside the original (dup of a corrupted packet arrives
@@ -301,16 +326,65 @@ func (l *Link) Send(pkt *Packet, deliver func(p *Packet, arrival float64)) bool 
 		// Corrupted + Flushed = Enqueued + Duplicated holds even when
 		// a restart flushes the copy.
 		l.stats.Duplicated++
-		l.Sim.At(arrival, func() {
-			if ep != l.epoch {
-				l.stats.Flushed++
-				return
-			}
-			l.stats.Delivered++
-			deliver(pkt, arrival)
-		})
+		l.schedule(pkt, deliver, rec, arrival, false, true)
 	}
 	return true
+}
+
+// delivery is one packet copy on its way to the far end of the link.
+// Records are pooled per link, each with its run method bound once, so
+// scheduling an arrival allocates nothing.
+type delivery struct {
+	l       *Link
+	pkt     *Packet
+	deliver func(*Packet, float64)
+	rec     *trace.Recorder // as attached when the packet was sent
+	at      float64
+	epoch   uint64
+	corrupt bool // the bytes arrive damaged
+	dup     bool // the injected duplicate copy
+	fire    func()
+}
+
+// schedule queues the arrival of one copy of pkt at time at.
+func (l *Link) schedule(pkt *Packet, deliver func(*Packet, float64), rec *trace.Recorder, at float64, corrupt, dup bool) {
+	var d *delivery
+	if n := len(l.deliveries); n > 0 {
+		d = l.deliveries[n-1]
+		l.deliveries = l.deliveries[:n-1]
+	} else {
+		d = &delivery{l: l}
+		d.fire = d.run
+	}
+	d.pkt, d.deliver, d.rec, d.at = pkt, deliver, rec, at
+	d.epoch, d.corrupt, d.dup = l.epoch, corrupt, dup
+	l.Sim.At(at, d.fire)
+}
+
+func (d *delivery) run() {
+	l, pkt, deliver, rec, at := d.l, d.pkt, d.deliver, d.rec, d.at
+	epoch, corrupt, dup := d.epoch, d.corrupt, d.dup
+	// Back to the pool first: deliver may send, and so reuse it.
+	d.pkt, d.deliver, d.rec = nil, nil, nil
+	l.deliveries = append(l.deliveries, d)
+	if epoch != l.epoch {
+		l.stats.Flushed++
+		if !dup && rec.Enabled(trace.KindPacketDrop) {
+			rec.Tracer(pkt.FlowID).PacketDrop(l.Sim.Now(), pkt.Seq, pkt.Size, l.QueueBytes(), "restart")
+		}
+		return
+	}
+	if corrupt {
+		// The bytes traversed the link but arrive damaged; the
+		// receiver's codec rejects them, so delivery never happens.
+		l.stats.Corrupted++
+		if rec.Enabled(trace.KindPacketDrop) {
+			rec.Tracer(pkt.FlowID).PacketDrop(l.Sim.Now(), pkt.Seq, pkt.Size, l.QueueBytes(), "corrupt")
+		}
+		return
+	}
+	l.stats.Delivered++
+	deliver(pkt, at)
 }
 
 // AckBatcher models bursty ACK delivery caused by irregular MAC
@@ -388,24 +462,23 @@ func (p *Path) Stats() PathStats { return p.stats }
 // *first* queue — a downstream tail drop is invisible to the sender, as
 // on a real multi-hop path, and is discovered via dup-ACKs or RTO.
 func (p *Path) Send(pkt *Packet, deliver func(p *Packet, arrival float64)) bool {
-	if len(p.Hops) == 0 {
-		return p.Link.Send(pkt, deliver)
-	}
-	return p.Link.Send(pkt, p.hopDeliver(0, deliver))
+	return p.Link.Send(pkt, p.Chain(deliver))
 }
 
-// hopDeliver builds the delivery chain that forwards a packet from hop
-// i-1 into hop i (hop index len(Hops) is the receiver).
-func (p *Path) hopDeliver(i int, deliver func(p *Packet, arrival float64)) func(*Packet, float64) {
-	if i == len(p.Hops) {
-		return deliver
+// Chain returns deliver behind the path's downstream hops: a packet the
+// first link hands to it is offered to each hop in order, and deliver
+// fires after the last. Path.Send(pkt, deliver) is
+// Link.Send(pkt, Chain(deliver)); a sender that builds its chain once
+// saves the per-packet closures Send allocates on a multi-hop path.
+func (p *Path) Chain(deliver func(p *Packet, arrival float64)) func(*Packet, float64) {
+	for i := len(p.Hops) - 1; i >= 0; i-- {
+		hop, next := p.Hops[i], deliver
+		// Now() == the arrival time at this stage; the hop's own
+		// queue, serialization, and prop delay take over from here. A
+		// downstream drop simply ends the chain.
+		deliver = func(q *Packet, _ float64) { hop.Send(q, next) }
 	}
-	return func(q *Packet, _ float64) {
-		// Now() == the arrival time at this stage; the hop's own queue,
-		// serialization, and prop delay take over from here. A downstream
-		// drop simply ends the chain.
-		p.Hops[i].Send(q, p.hopDeliver(i+1, deliver))
-	}
+	return deliver
 }
 
 // BottleneckRate returns the lowest link rate on the forward direction,

@@ -23,8 +23,8 @@ func TestPoolReusesEvents(t *testing.T) {
 		t.Fatalf("ran %d ticks, want 10000", n)
 	}
 	// 10k events through the loop; without pooling this is ~10k allocs.
-	// The Timer handles still allocate, so allow generous slack below
-	// one-per-event for the events themselves.
+	// TestScheduleRunZeroAlloc pins the steady state at zero; this
+	// keeps the coarse bound for a cold simulator.
 	if allocs > 15000 {
 		t.Fatalf("%v allocs for 10k recycled events", allocs)
 	}
@@ -43,8 +43,8 @@ func TestStaleTimerStopCannotKillRecycledEvent(t *testing.T) {
 	}
 	// Reschedule: with pooling this reuses t1's event allocation.
 	t2 := s.At(3, func() { fired2 = true })
-	if t1.ev != t2.ev {
-		t.Fatal("free list did not recycle the event allocation")
+	if t1.id != t2.id {
+		t.Fatal("free list did not recycle the event slot")
 	}
 	if t1.Stop() {
 		t.Fatal("stale Stop reported success")
@@ -80,7 +80,7 @@ func TestStopStillCancelsLiveRecycledEvent(t *testing.T) {
 // timer captured across the reschedule stays inert.
 func TestRecycleDuringCallbackRescheduling(t *testing.T) {
 	s := New(1)
-	var timers []*Timer
+	var timers []Timer
 	n := 0
 	var tick func()
 	tick = func() {
@@ -102,9 +102,9 @@ func TestRecycleDuringCallbackRescheduling(t *testing.T) {
 }
 
 // BenchmarkEventSchedule measures allocs/op of the schedule→execute
-// cycle — the sim hot path that bounds campaign events/sec. With the
-// free list the event itself is recycled; the remaining alloc is the
-// *Timer handle.
+// cycle — the sim hot path that bounds campaign events/sec. The event
+// is recycled through the free list and the Timer handle is a value, so
+// the cycle allocates nothing.
 func BenchmarkEventSchedule(b *testing.B) {
 	s := New(1)
 	b.ReportAllocs()

@@ -30,11 +30,29 @@ type fakeClock struct {
 
 func (c *fakeClock) Now() float64 { return c.now }
 
-func (c *fakeClock) At(t float64, fn func()) Timer {
+func (c *fakeClock) At(t float64, fn func()) { c.schedule(t, fn) }
+
+func (c *fakeClock) schedule(t float64, fn func()) *fakeEvent {
 	e := &fakeEvent{at: t, fn: fn}
 	c.events = append(c.events, e)
 	return e
 }
+
+func (c *fakeClock) NewTimer(fn func()) Timer { return &fakeTimer{c: c, fn: fn} }
+
+// fakeTimer re-arms by stopping its pending event and scheduling anew.
+type fakeTimer struct {
+	c  *fakeClock
+	fn func()
+	ev *fakeEvent
+}
+
+func (t *fakeTimer) Reset(at float64) {
+	t.Stop()
+	t.ev = t.c.schedule(at, t.fn)
+}
+
+func (t *fakeTimer) Stop() bool { return t.ev != nil && t.ev.Stop() }
 
 // runUntil fires pending events in time order up to and including t,
 // then advances the clock to t.
@@ -171,8 +189,8 @@ func TestAgedGapDeclaredLost(t *testing.T) {
 	// Age the gap past srtt + reorder window (a late ack's own huge RTT
 	// sample would inflate rttvar and mask it, so age the packets, not
 	// the clock sample).
-	for _, sp := range snd.unacked {
-		if !sp.acked && sp.Seq <= 4 {
+	for i := range snd.unacked {
+		if sp := &snd.unacked[i]; !sp.acked && sp.Seq <= 4 {
 			sp.SentAt -= 1.0
 		}
 	}

@@ -110,8 +110,15 @@ type TraceAware interface {
 	SetTracer(t trace.Tracer)
 }
 
-// Timer is a cancelable scheduled callback, as returned by Clock.At.
-type Timer interface{ Stop() bool }
+// Timer is a re-armable, cancelable callback, as returned by
+// Clock.NewTimer.
+type Timer interface {
+	// Reset arms the timer to fire at absolute time t, replacing any
+	// firing still pending.
+	Reset(t float64)
+	// Stop cancels a pending firing and reports whether there was one.
+	Stop() bool
+}
 
 // Clock is the time base and timer service a Sender runs on. It exists
 // so the sender's clock is an injected dependency rather than an
@@ -122,15 +129,32 @@ type Timer interface{ Stop() bool }
 type Clock interface {
 	// Now returns the current time in seconds.
 	Now() float64
-	// At schedules fn at absolute time t and returns a cancel handle.
-	At(t float64, fn func()) Timer
+	// At schedules fn at absolute time t. The call cannot be cancelled;
+	// callbacks that may need to be use a Timer.
+	At(t float64, fn func())
+	// NewTimer returns an unarmed timer that runs fn each time it fires.
+	NewTimer(fn func()) Timer
 }
 
 // simClock adapts *sim.Sim to Clock.
 type simClock struct{ s *sim.Sim }
 
-func (c simClock) Now() float64                  { return c.s.Now() }
-func (c simClock) At(t float64, fn func()) Timer { return c.s.At(t, fn) }
+func (c simClock) Now() float64             { return c.s.Now() }
+func (c simClock) At(t float64, fn func())  { c.s.At(t, fn) }
+func (c simClock) NewTimer(fn func()) Timer { return &simTimer{s: c.s, fn: fn} }
+
+// simTimer is a Timer on the simulator. Reset goes through
+// sim.Reschedule, so a deadline that only slides later — the RTO on
+// every ack — costs no heap operation, while the event still runs at
+// exactly the place a Stop followed by a fresh At would give it.
+type simTimer struct {
+	s  *sim.Sim
+	fn func()
+	h  sim.Timer
+}
+
+func (t *simTimer) Reset(at float64) { t.h = t.s.Reschedule(t.h, at, t.fn) }
+func (t *simTimer) Stop() bool       { return t.h.Stop() }
 
 // SimClock returns the Clock backed by a discrete-event simulator —
 // the default time base for senders on an emulated path.
@@ -256,7 +280,8 @@ type Sender struct {
 	Survival bool
 
 	rtt      RTTEstimator
-	unacked  []*SentPacket // ordered by Seq; pruned from the front
+	unacked  []SentPacket   // ordered by Seq; pruned from the front
+	wireBuf  []netem.Packet // preallocated wire packets, handed out in order
 	seq      int64
 	inflight int
 	launched int64 // bytes released minus re-credited losses
@@ -265,14 +290,20 @@ type Sender struct {
 	recvd    int64
 	maxAcked int64
 
-	tr         trace.Tracer
-	nextSend   float64
-	timerSet   bool
-	blocked    bool
-	paused     bool
-	done       bool
-	started    bool
-	rtoTimer   Timer
+	tr       trace.Tracer
+	nextSend float64
+	timerSet bool
+	blocked  bool
+	paused   bool
+	done     bool
+	started  bool
+	// s.emit, and s.deliver behind the path's hops, bound once at Start
+	// so pacing and sending allocate no closure per call.
+	emitFn     func()
+	deliverFn  func(*netem.Packet, float64)
+	ackFree    []*ackEvent
+	rtoTimer   Timer // runs onRTO; created on first use
+	rtoArmed   bool
 	rttSamples []float64
 	startTime  float64
 
@@ -313,6 +344,7 @@ func (s *Sender) Start() {
 	if ta, ok := s.CC.(TraceAware); ok {
 		ta.SetTracer(s.tr)
 	}
+	s.emitFn, s.deliverFn = s.emit, s.Path.Chain(s.deliver)
 	s.armRTO()
 	s.trySend()
 }
@@ -320,12 +352,9 @@ func (s *Sender) Start() {
 // Stop halts the flow permanently.
 func (s *Sender) Stop() {
 	s.done = true
-	if s.rtoTimer != nil {
-		s.rtoTimer.Stop()
-	}
+	s.stopRTO()
 	if s.probeTimer != nil {
 		s.probeTimer.Stop()
-		s.probeTimer = nil
 	}
 }
 
@@ -461,7 +490,7 @@ func (s *Sender) trySend() {
 		at = now
 	}
 	s.timerSet = true
-	clk.At(at, s.emit)
+	clk.At(at, s.emitFn)
 }
 
 func (s *Sender) emit() {
@@ -499,26 +528,22 @@ func (s *Sender) emit() {
 				size = int(rem)
 			}
 		}
-		pkt := &SentPacket{Seq: s.seq, Size: size, SentAt: now}
+		s.unacked = append(s.unacked, SentPacket{Seq: s.seq, Size: size, SentAt: now})
+		pkt := &s.unacked[len(s.unacked)-1]
 		s.seq++
 		s.CC.OnSend(now, pkt)
-		s.unacked = append(s.unacked, pkt)
 		s.inflight += size
 		s.launched += int64(size)
 		sent += size
 
-		wire := &netem.Packet{FlowID: s.ID, Seq: pkt.Seq, Size: size, SentAt: now, MI: pkt.MI}
-		if !s.Path.Send(wire, s.deliver) {
-			// Tail drop at the queue: the packet is gone; the sender
-			// will discover this through dup-ACKs or RTO like any other
-			// loss.
-			_ = wire
-		}
+		// A tail drop at the queue loses the packet; the sender
+		// discovers it through dup-ACKs or RTO like any other loss.
+		s.Path.Link.Send(s.wirePacket(netem.Packet{FlowID: s.ID, Seq: pkt.Seq, Size: size, SentAt: now, MI: pkt.MI}), s.deliverFn)
 	}
 	if sent == 0 {
 		return
 	}
-	if s.rtoTimer == nil {
+	if !s.rtoArmed {
 		s.armRTO()
 	}
 	rate := s.pacingRate()
@@ -544,14 +569,38 @@ func (s *Sender) deliver(p *netem.Packet, arrival float64) {
 	// sender-side RTT measurement — exactly the wire behavior.
 	recvStamp := arrival + s.Path.StampOffset
 	ackAt := s.Path.AckArrival(arrival)
-	ep := s.Path.Epoch()
-	s.clk().At(ackAt, func() {
-		if ep != s.Path.Epoch() {
-			s.Path.NoteAckFlushed()
-			return
-		}
-		s.handleAck(p, recvStamp)
-	})
+	var a *ackEvent
+	if n := len(s.ackFree); n > 0 {
+		a = s.ackFree[n-1]
+		s.ackFree = s.ackFree[:n-1]
+	} else {
+		a = &ackEvent{s: s}
+		a.fire = a.run
+	}
+	a.p, a.recvAt, a.epoch = p, recvStamp, s.Path.Epoch()
+	s.clk().At(ackAt, a.fire)
+}
+
+// ackEvent is one ack on its way back to the sender. Records are pooled
+// per sender, each with its run method bound once, so scheduling an
+// ack allocates nothing.
+type ackEvent struct {
+	s      *Sender
+	p      *netem.Packet
+	recvAt float64
+	epoch  uint64 // the path's restart epoch when the ack was sent
+	fire   func()
+}
+
+func (a *ackEvent) run() {
+	s, p, recvAt, epoch := a.s, a.p, a.recvAt, a.epoch
+	a.p = nil
+	s.ackFree = append(s.ackFree, a)
+	if epoch != s.Path.Epoch() {
+		s.Path.NoteAckFlushed()
+		return
+	}
+	s.handleAck(p, recvAt)
 }
 
 func (s *Sender) handleAck(p *netem.Packet, recvAt float64) {
@@ -566,7 +615,7 @@ func (s *Sender) handleAck(p *netem.Packet, recvAt float64) {
 	if idx < 0 {
 		return // already declared lost, or stale after completion
 	}
-	sp := s.unacked[idx]
+	sp := &s.unacked[idx]
 	if sp.acked || sp.lost {
 		return
 	}
@@ -603,9 +652,7 @@ func (s *Sender) handleAck(p *netem.Packet, recvAt float64) {
 	s.armRTO()
 	if s.Limit > 0 && s.acked >= s.Limit && !s.done {
 		s.done = true
-		if s.rtoTimer != nil {
-			s.rtoTimer.Stop()
-		}
+		s.stopRTO()
 		if s.OnComplete != nil {
 			s.OnComplete(now)
 		}
@@ -628,7 +675,8 @@ func (s *Sender) handleAck(p *netem.Packet, recvAt float64) {
 // one burst routinely reorder by more than the threshold.
 func (s *Sender) detectDupAckLosses(now float64) {
 	window := s.rtt.SRTT() + s.reorderWindow()
-	for _, sp := range s.unacked {
+	for i := range s.unacked {
+		sp := &s.unacked[i]
 		if sp.Seq > s.maxAcked-dupAckThreshold {
 			break
 		}
@@ -695,16 +743,12 @@ func (s *Sender) prune() {
 	}
 }
 
+// armRTO (re)arms the retransmission timer at the oldest outstanding
+// packet's deadline, or disarms it when nothing is outstanding.
 func (s *Sender) armRTO() {
-	if s.rtoTimer != nil {
-		s.rtoTimer.Stop()
-		s.rtoTimer = nil
-	}
-	if s.done {
-		return
-	}
 	oldest := s.oldestOutstanding()
-	if oldest == nil {
+	if s.done || oldest == nil {
+		s.stopRTO()
 		return
 	}
 	clk := s.clk()
@@ -712,7 +756,18 @@ func (s *Sender) armRTO() {
 	if deadline < clk.Now() {
 		deadline = clk.Now()
 	}
-	s.rtoTimer = clk.At(deadline, s.onRTO)
+	if s.rtoTimer == nil {
+		s.rtoTimer = clk.NewTimer(s.onRTO)
+	}
+	s.rtoTimer.Reset(deadline)
+	s.rtoArmed = true
+}
+
+func (s *Sender) stopRTO() {
+	if s.rtoArmed {
+		s.rtoTimer.Stop()
+		s.rtoArmed = false
+	}
 }
 
 // effRTO is the retransmission timeout with exponential backoff: the
@@ -774,7 +829,6 @@ func (s *Sender) recoverFromOutage(now float64) {
 	s.wdRecoveries++
 	if s.probeTimer != nil {
 		s.probeTimer.Stop()
-		s.probeTimer = nil
 	}
 	rate := s.resumeRate
 	if rate <= 0 {
@@ -795,41 +849,59 @@ func (s *Sender) recoverFromOutage(now float64) {
 }
 
 func (s *Sender) scheduleProbe(at float64) {
-	s.probeTimer = s.clk().At(at, s.sendProbe)
+	if s.probeTimer == nil {
+		s.probeTimer = s.clk().NewTimer(s.sendProbe)
+	}
+	s.probeTimer.Reset(at)
 }
 
 // sendProbe emits one keep-alive packet during an outage, bypassing
 // the (frozen) controller entirely, and reschedules itself. The first
 // probe the healed path delivers produces the recovery ack.
 func (s *Sender) sendProbe() {
-	s.probeTimer = nil
 	if s.done || !s.outage {
 		return
 	}
 	now := s.clk().Now()
-	pkt := &SentPacket{Seq: s.seq, Size: netem.MTU, SentAt: now, probe: true}
+	seq := s.seq
 	s.seq++
-	s.unacked = append(s.unacked, pkt)
-	s.inflight += pkt.Size
-	wire := &netem.Packet{FlowID: s.ID, Seq: pkt.Seq, Size: pkt.Size, SentAt: now}
-	s.Path.Send(wire, s.deliver)
-	if s.rtoTimer == nil {
+	s.unacked = append(s.unacked, SentPacket{Seq: seq, Size: netem.MTU, SentAt: now, probe: true})
+	s.inflight += netem.MTU
+	s.Path.Link.Send(s.wirePacket(netem.Packet{FlowID: s.ID, Seq: seq, Size: netem.MTU, SentAt: now}), s.deliverFn)
+	if !s.rtoArmed {
 		s.armRTO()
 	}
 	s.scheduleProbe(now + probeInterval)
 }
 
 func (s *Sender) oldestOutstanding() *SentPacket {
-	for _, sp := range s.unacked {
-		if !sp.acked && !sp.lost {
+	for i := range s.unacked {
+		if sp := &s.unacked[i]; !sp.acked && !sp.lost {
 			return sp
 		}
 	}
 	return nil
 }
 
+// wirePacketBatch is how many wire packets wirePacket allocates at once.
+const wirePacketBatch = 64
+
+// wirePacket returns p copied into the next preallocated wire packet.
+// Packets are carved from batches so sending costs an allocation per
+// batch, not per packet; a batch is freed once the last ack or loss
+// that references any of its packets is gone.
+func (s *Sender) wirePacket(p netem.Packet) *netem.Packet {
+	if len(s.wireBuf) == 0 {
+		s.wireBuf = make([]netem.Packet, wirePacketBatch)
+	}
+	w := &s.wireBuf[0]
+	s.wireBuf = s.wireBuf[1:]
+	*w = p
+	return w
+}
+
 func (s *Sender) onRTO() {
-	s.rtoTimer = nil
+	s.rtoArmed = false
 	if s.done {
 		return
 	}
@@ -843,8 +915,8 @@ func (s *Sender) onRTO() {
 	}
 	rto := s.effRTO()
 	declared := false
-	for _, sp := range s.unacked {
-		if !sp.acked && !sp.lost && now-sp.SentAt >= rto-1e-12 {
+	for i := range s.unacked {
+		if sp := &s.unacked[i]; !sp.acked && !sp.lost && now-sp.SentAt >= rto-1e-12 {
 			s.markLost(sp, now)
 			declared = true
 		}
